@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Union)
 
 import numpy as np
 
@@ -52,14 +54,14 @@ from repro.faults import (
 )
 from repro.capture.records import NO_BSSID, FrameBatch, mac_from_int
 from repro.engine.cache import GammaCache
-from repro.engine.ingest import Evidence, GammaState, extract_evidence
+from repro.engine.ingest import GammaState, extract_evidence
 from repro.engine.scheduler import MicroBatchScheduler
 from repro.engine.sinks import EngineSink
 from repro.engine.stats import EngineStats
 from repro.geometry.point import Point
 from repro.localization.base import LocalizationEstimate, Localizer
 from repro.net80211.frames import FrameType
-from repro.net80211.mac import MacAddress
+from repro.net80211.mac import MacAddress, MacNames
 from repro.net80211.medium import ReceivedFrame
 from repro.sniffer.tracker import DeviceTracker, PseudonymLinker
 
@@ -201,6 +203,11 @@ class StreamingEngine:
             "repro.engine.fit.iterations")
         self._g_devices = self.registry.gauge("repro.engine.devices.seen")
         self._t_flush = self.registry.timer("repro.engine.flush.duration")
+        # Stage timers and retry counters are bound on first use (so a
+        # stage's series appears once it has run) and kept per engine.
+        self._stage_timers: Dict[str, obs.Timer] = {}
+        self._retry_callbacks: Dict[
+            str, Callable[[int, BaseException, float], None]] = {}
         if self.cache is not None:
             for event in ("hit", "miss", "eviction", "invalidation"):
                 self.registry.counter(f"repro.engine.cache.{event}")
@@ -235,22 +242,27 @@ class StreamingEngine:
                 evidence = extract_evidence(received)
                 if evidence is not None:
                     self._c_evidence.inc()
-                    self._seen.add(evidence.mobile)
-                    gamma = self.gamma_state.observe(evidence)
-                    if (evidence.mobile not in self._quarantine
-                            and gamma != self._last_located.get(
-                                evidence.mobile)):
-                        self.scheduler.mark_dirty(evidence.mobile)
-                    if self.refit_every > 0:
-                        if gamma:
-                            self._pending_refit.append(gamma)
-                        self._events_since_refit += 1
+                    self._observe(evidence.mobile, evidence.ap,
+                                  evidence.timestamp)
             self._g_devices.set(len(self._seen))
         if (self.refit_every > 0
                 and self._events_since_refit >= self.refit_every):
             self._refit()
         while self.scheduler.ready:
             self._flush_batch()
+
+    def _observe(self, mobile: MacAddress, ap: MacAddress,
+                 timestamp: float) -> None:
+        """Fold one evidence event into Γ; schedule and queue re-fits."""
+        self._seen.add(mobile)
+        gamma = self.gamma_state.fold(mobile, ap, timestamp)
+        if (mobile not in self._quarantine
+                and gamma != self._last_located.get(mobile)):
+            self.scheduler.mark_dirty(mobile)
+        if self.refit_every > 0:
+            if gamma:
+                self._pending_refit.append(gamma)
+            self._events_since_refit += 1
 
     def ingest_stream(self, stream: Iterable[ReceivedFrame]) -> None:
         """Consume frames without the end-of-stream flush (resumable)."""
@@ -273,12 +285,19 @@ class StreamingEngine:
         interesting record (they cannot trigger after any other kind),
         so flush interleaving — and therefore tracks and checkpoints —
         match the record-at-a-time path bit for bit.
+
+        The ``ingest`` stage is timed once per call: one observation
+        holding the row work, without the flushes and re-fits that run
+        between rows (those time themselves).
         """
         records = batch.records
         total = len(records)
         if total == 0:
             return
-        with self._stage("ingest"):
+        clock = time.perf_counter
+        start = clock()
+        elapsed = 0.0
+        try:
             kind = records["kind"]
             frame_types = batch.frame_types
             probe_mask = np.isin(kind, [
@@ -308,33 +327,35 @@ class StreamingEngine:
             self._c_probes.inc(int(probe_mask.sum()))
             self._c_evidence.inc(int(evidence_mask.sum()))
             interesting = np.nonzero(probe_mask | evidence_mask)[0]
-        for index in interesting:
-            with self._stage("ingest"):
-                if probe_mask[index]:
-                    frame = batch.frame_at(int(index)).frame
+            # Python scalars for the interesting rows, one tolist() per
+            # column rather than a NumPy scalar conversion per row.
+            rows = zip(interesting.tolist(),
+                       probe_mask[interesting].tolist(),
+                       mobiles[interesting].tolist(),
+                       bssid[interesting].tolist(),
+                       rx_ts[interesting].tolist())
+            scheduler = self.scheduler
+            refit_every = self.refit_every
+            for index, is_probe, mobile, ap, timestamp in rows:
+                if is_probe:
+                    frame = batch.frame_at(index).frame
                     self._seen.add(frame.source)
                     self.linker.ingest(frame)
                 else:
-                    mobile = mac_from_int(int(mobiles[index]))
-                    evidence = Evidence(
-                        mobile=mobile,
-                        ap=mac_from_int(int(bssid[index])),
-                        timestamp=float(rx_ts[index]))
-                    self._seen.add(mobile)
-                    gamma = self.gamma_state.observe(evidence)
-                    if (mobile not in self._quarantine
-                            and gamma != self._last_located.get(mobile)):
-                        self.scheduler.mark_dirty(mobile)
-                    if self.refit_every > 0:
-                        if gamma:
-                            self._pending_refit.append(gamma)
-                        self._events_since_refit += 1
-            if (self.refit_every > 0
-                    and self._events_since_refit >= self.refit_every):
-                self._refit()
-            while self.scheduler.ready:
-                self._flush_batch()
-        self._g_devices.set(len(self._seen))
+                    self._observe(mac_from_int(mobile), mac_from_int(ap),
+                                  timestamp)
+                refit_due = (refit_every > 0
+                             and self._events_since_refit >= refit_every)
+                if refit_due or scheduler.ready:
+                    elapsed += clock() - start
+                    if refit_due:
+                        self._refit()
+                    while scheduler.ready:
+                        self._flush_batch()
+                    start = clock()
+            self._g_devices.set(len(self._seen))
+        finally:
+            self._stage_timer("ingest").observe(elapsed + clock() - start)
 
     def ingest_batches(self, stream: Iterable[FrameBatch]) -> None:
         """Consume batches without the end-of-stream flush (resumable)."""
@@ -561,13 +582,17 @@ class StreamingEngine:
 
     def _count_retry(self, site: str):
         """An ``on_retry`` callback counting into the engine registry."""
-        counter = self.registry.counter("repro.engine.retries", site=site)
+        callback = self._retry_callbacks.get(site)
+        if callback is None:
+            counter = self.registry.counter("repro.engine.retries",
+                                            site=site)
 
-        def on_retry(attempt: int, error: BaseException,
-                     delay: float) -> None:
-            counter.inc()
+            def callback(attempt: int, error: BaseException,
+                         delay: float) -> None:
+                counter.inc()
 
-        return on_retry
+            self._retry_callbacks[site] = callback
+        return callback
 
     def quarantined(self) -> Dict[MacAddress, str]:
         """Quarantined devices and the error text that condemned them."""
@@ -660,10 +685,17 @@ class StreamingEngine:
     # Observability
     # ------------------------------------------------------------------
 
+    def _stage_timer(self, name: str) -> obs.Timer:
+        """The ``stage=name`` series, looked up once per engine."""
+        timer = self._stage_timers.get(name)
+        if timer is None:
+            timer = self._stage_timers[name] = self.registry.timer(
+                "repro.engine.stage.duration", stage=name)
+        return timer
+
     def _stage(self, name: str):
         """Timing context for one pipeline stage (lazy per-stage series)."""
-        return self.registry.timer("repro.engine.stage.duration",
-                                   stage=name).time()
+        return self._stage_timer(name).time()
 
     def _stage_seconds(self) -> Dict[str, float]:
         """Accumulated seconds per stage, from the registry series."""
@@ -724,6 +756,7 @@ class StreamingEngine:
         positional fixes (position, algorithm, k) only.  The pseudonym
         linker is rebuilt from the live stream after restore.
         """
+        names = MacNames()
         return {
             "engine_checkpoint": CHECKPOINT_VERSION,
             "config": {
@@ -736,15 +769,15 @@ class StreamingEngine:
                 "quarantine_after": self.quarantine_after,
                 "worker_timeout_s": self.worker_timeout_s,
             },
-            "gamma": self.gamma_state.to_dict(),
-            "dirty": self.scheduler.to_list(),
+            "gamma": self.gamma_state.to_dict(names),
+            "dirty": self.scheduler.to_list(names),
             "last_located": {
-                str(mobile): sorted(str(ap) for ap in gamma)
+                names[mobile]: sorted([names[ap] for ap in gamma])
                 for mobile, gamma in self._last_located.items()
             },
-            "seen": sorted(str(mobile) for mobile in self._seen),
+            "seen": sorted([names[mobile] for mobile in self._seen]),
             "tracks": {
-                str(mobile): [
+                names[mobile]: [
                     {
                         "ts": point.timestamp,
                         "x": point.estimate.position.x,
@@ -772,15 +805,15 @@ class StreamingEngine:
             # — or simply re-accumulates and refits on schedule.
             "refit": {
                 "events_since_refit": self._events_since_refit,
-                "pending": [sorted(str(ap) for ap in gamma)
+                "pending": [sorted([names[ap] for ap in gamma])
                             for gamma in self._pending_refit],
             },
             "stage_seconds": self._stage_seconds(),
             # v3 fault-tolerance state: a resumed run must not
             # re-admit devices the interrupted run already condemned.
-            "quarantine": {str(mobile): reason
+            "quarantine": {names[mobile]: reason
                            for mobile, reason in self._quarantine.items()},
-            "failure_counts": {str(mobile): count
+            "failure_counts": {names[mobile]: count
                                for mobile, count in self._failures.items()},
         }
 
@@ -788,8 +821,10 @@ class StreamingEngine:
                         extra: Optional[dict] = None) -> None:
         """Durably write a v3 checkpoint to ``path``.
 
-        The payload (with an embedded CRC32 over its canonical JSON)
-        lands in a temp file first, is fsync'd, and replaces ``path``
+        The file body is the payload's canonical JSON (the text
+        :func:`checkpoint_crc` covers, serialized once) with the
+        ``"crc32"`` field spliced in last.  It lands in a temp file
+        first, is fsync'd, and replaces ``path``
         atomically — a crash at any instant leaves either the old
         checkpoint or the new one, never a torn file.  With
         ``keep > 1``, previous generations rotate logrotate-style to
@@ -807,11 +842,13 @@ class StreamingEngine:
         payload = self.checkpoint()
         if extra is not None:
             payload["extra"] = extra
-        payload["crc32"] = checkpoint_crc(payload)
+        canonical = _canonical_json(payload)
+        crc = zlib.crc32(canonical)
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))
+        with open(tmp, "wb") as handle:
+            handle.write(canonical[:-1])
+            handle.write(b', "crc32": %d}' % crc)
             handle.flush()
             os.fsync(handle.fileno())
         # The crash-mid-checkpoint injection site: a fault here proves
@@ -935,12 +972,16 @@ class StreamingEngine:
         return cls.restore(data, localizer, sinks=sinks, workers=workers)
 
 
+def _canonical_json(payload: dict) -> bytes:
+    """The ``sort_keys`` JSON of everything but ``"crc32"``, as UTF-8."""
+    return json.dumps(
+        {key: value for key, value in payload.items() if key != "crc32"},
+        sort_keys=True).encode("utf-8")
+
+
 def checkpoint_crc(payload: dict) -> int:
     """CRC32 over the canonical JSON of everything but ``"crc32"``."""
-    canonical = json.dumps(
-        {key: value for key, value in payload.items() if key != "crc32"},
-        sort_keys=True)
-    return zlib.crc32(canonical.encode("utf-8"))
+    return zlib.crc32(_canonical_json(payload))
 
 
 def _validate_checkpoint(path: Path) -> dict:

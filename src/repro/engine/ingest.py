@@ -23,10 +23,10 @@ bookkeeping directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Mapping, Optional
 
 from repro.net80211.frames import FrameType
-from repro.net80211.mac import MacAddress
+from repro.net80211.mac import MacAddress, MacNames
 from repro.net80211.medium import ReceivedFrame
 
 
@@ -77,14 +77,25 @@ class GammaState:
 
     def observe(self, evidence: Evidence) -> FrozenSet[MacAddress]:
         """Fold one evidence event in; return the device's current Γ."""
-        by_ap = self._latest_by_ap.setdefault(evidence.mobile, {})
-        previous = by_ap.get(evidence.ap)
-        if previous is None or evidence.timestamp > previous:
-            by_ap[evidence.ap] = evidence.timestamp
-        frontier = self._frontier.get(evidence.mobile)
-        if frontier is None or evidence.timestamp > frontier:
-            self._frontier[evidence.mobile] = evidence.timestamp
-        return self.gamma(evidence.mobile)
+        return self.fold(evidence.mobile, evidence.ap, evidence.timestamp)
+
+    def fold(self, mobile: MacAddress, ap: MacAddress,
+             timestamp: float) -> FrozenSet[MacAddress]:
+        """:meth:`observe` without the :class:`Evidence` wrapper.
+
+        The engine's batch path folds millions of rows; building an
+        ``Evidence`` per row would cost more than the fold itself.
+        """
+        by_ap = self._latest_by_ap.get(mobile)
+        if by_ap is None:
+            by_ap = self._latest_by_ap[mobile] = {}
+        previous = by_ap.get(ap)
+        if previous is None or timestamp > previous:
+            by_ap[ap] = timestamp
+        frontier = self._frontier.get(mobile)
+        if frontier is None or timestamp > frontier:
+            self._frontier[mobile] = timestamp
+        return self.gamma(mobile)
 
     def gamma(self, mobile: MacAddress) -> FrozenSet[MacAddress]:
         """APs heard within ``window_s`` of the device's newest evidence."""
@@ -92,7 +103,7 @@ class GammaState:
         if not by_ap:
             return frozenset()
         horizon = self._frontier[mobile] - self.window_s
-        return frozenset(ap for ap, ts in by_ap.items() if ts >= horizon)
+        return frozenset([ap for ap, ts in by_ap.items() if ts >= horizon])
 
     def last_seen(self, mobile: MacAddress) -> Optional[float]:
         """The newest evidence time for a device (None if never seen)."""
@@ -108,12 +119,20 @@ class GammaState:
     # Checkpointing
     # ------------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-compatible snapshot of the Γ state."""
+    def to_dict(self, names: Optional[Mapping[MacAddress, str]] = None
+                ) -> dict:
+        """JSON-compatible snapshot of the Γ state.
+
+        ``names`` maps addresses to their text; pass one shared
+        :class:`~repro.net80211.mac.MacNames` to format each address
+        once across a whole checkpoint.
+        """
+        if names is None:
+            names = MacNames()
         return {
             "window_s": self.window_s,
             "events": {
-                str(mobile): {str(ap): ts for ap, ts in by_ap.items()}
+                names[mobile]: {names[ap]: ts for ap, ts in by_ap.items()}
                 for mobile, by_ap in self._latest_by_ap.items()
             },
         }

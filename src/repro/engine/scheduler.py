@@ -10,9 +10,9 @@ reproducible, which the checkpoint/restore round-trip relies on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
-from repro.net80211.mac import MacAddress
+from repro.net80211.mac import MacAddress, MacNames
 
 
 class MicroBatchScheduler:
@@ -60,8 +60,12 @@ class MicroBatchScheduler:
     # Checkpointing
     # ------------------------------------------------------------------
 
-    def to_list(self) -> List[str]:
-        return [str(mobile) for mobile in self._dirty]
+    def to_list(self, names: Optional[Mapping[MacAddress, str]] = None
+                ) -> List[str]:
+        """The dirty set in drain order; ``names`` memoizes MAC text."""
+        if names is None:
+            names = MacNames()
+        return [names[mobile] for mobile in self._dirty]
 
     def restore(self, dirty: List[str]) -> None:
         for text in dirty:

@@ -93,13 +93,17 @@ class RetryPolicy:
         backoff sleep (attempt numbering starts at 1 for the failed
         attempt).  The final failure re-raises the original exception.
         """
-        schedule = self.delays()
+        # Built on the first failure: most calls succeed first time, and
+        # seeding the jitter stream per call would dominate them.
+        schedule: Optional[List[float]] = None
         for attempt in range(1, self.max_attempts + 1):
             try:
                 return fn()
             except self.retryable as error:
                 if attempt >= self.max_attempts:
                     raise
+                if schedule is None:
+                    schedule = self.delays()
                 delay = schedule[attempt - 1]
                 if on_retry is not None:
                     on_retry(attempt, error, delay)

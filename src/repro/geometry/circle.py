@@ -98,8 +98,11 @@ def lens_area(a: Circle, b: Circle) -> float:
     r1, r2 = a.radius, b.radius
     if distance >= r1 + r2:
         return 0.0
-    if distance <= abs(r1 - r2):
-        smaller = min(r1, r2)
+    smaller = min(r1, r2)
+    # Containment — including centres so close that ``2 * distance * r``
+    # underflows to zero (concentric to float precision), where the
+    # segment formula below would divide by zero.
+    if distance <= abs(r1 - r2) or 2.0 * distance * smaller == 0.0:
         return math.pi * smaller * smaller
     # General lens: two circular segments, one from each circle.
     cos1 = (distance * distance + r1 * r1 - r2 * r2) / (2.0 * distance * r1)

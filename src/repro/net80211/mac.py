@@ -33,9 +33,16 @@ OUI_VENDORS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class MacAddress:
-    """A 48-bit MAC address stored as an integer."""
+    """A 48-bit MAC address stored as an integer.
+
+    Every Γ set, scheduler, tracker and cache keys on addresses, so
+    identity (hash, equality, ordering) is hand-written over the int
+    ``value`` rather than generated: the generated methods build a
+    tuple per call.  Comparing with anything but a ``MacAddress``
+    returns ``NotImplemented``, as the generated methods did.
+    """
 
     value: int
 
@@ -74,10 +81,38 @@ class MacAddress:
         value |= 0x02 << 40     # locally administered
         return cls(value)
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value < other.value
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value <= other.value
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value > other.value
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value >= other.value
+        return NotImplemented
+
     def __str__(self) -> str:
-        octets = [(self.value >> shift) & 0xFF
-                  for shift in (40, 32, 24, 16, 8, 0)]
-        return ":".join(f"{octet:02x}" for octet in octets)
+        text = "%012x" % self.value
+        return (f"{text[0:2]}:{text[2:4]}:{text[4:6]}:"
+                f"{text[6:8]}:{text[8:10]}:{text[10:12]}")
 
     @property
     def oui(self) -> str:
@@ -101,6 +136,20 @@ class MacAddress:
     @property
     def is_broadcast(self) -> bool:
         return self.value == (1 << 48) - 1
+
+
+class MacNames(dict):
+    """``MacAddress`` → canonical ``aa:bb:...`` text, formatted once each.
+
+    Serializing engine state names the same few thousand addresses many
+    times over (Γ sets, dirty set, tracks); indexing this mapping
+    formats an address on its first lookup and is a plain dict hit
+    after that.
+    """
+
+    def __missing__(self, mac: MacAddress) -> str:
+        text = self[mac] = str(mac)
+        return text
 
 
 #: ff:ff:ff:ff:ff:ff — destination of broadcast probe requests.

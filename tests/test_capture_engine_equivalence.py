@@ -177,3 +177,19 @@ class TestShardedEngine:
         finally:
             a.stop()
             b.stop()
+
+
+class TestBatchStageTiming:
+    def test_ingest_stage_observed_once_per_batch_call(self, captures):
+        engine = fresh_engine()
+        calls = 0
+        for batch in iter_capture_batches(captures["columnar"],
+                                          batch_records=64):
+            engine.ingest_batch(batch)
+            calls += 1
+        series = [inst for inst in
+                  engine.registry.find("repro.engine.stage.duration")
+                  if dict(inst.labels) == {"stage": "ingest"}]
+        assert len(series) == 1
+        assert series[0].count == calls
+        assert series[0].sum > 0.0

@@ -40,6 +40,37 @@ class TestAtomicSave:
         assert data["engine_checkpoint"] == 3
         assert data["crc32"] == checkpoint_crc(data)
 
+    def test_body_is_canonical_json_with_crc_last(self, square_db,
+                                                  tmp_path):
+        engine = run_partial(square_db,
+                             build_stream(square_db, devices=3, rounds=2))
+        path = tmp_path / "engine.ckpt"
+        engine.save_checkpoint(path, extra={"zeta": 1, "alpha": [2]})
+        text = path.read_text()
+        data = load_checkpoint_data(path)
+        assert data["crc32"] == checkpoint_crc(json.loads(text))
+        body = {key: value for key, value in data.items()
+                if key != "crc32"}
+        assert text == (json.dumps(body, sort_keys=True)[:-1]
+                        + f', "crc32": {data["crc32"]}}}')
+        assert list(data)[-1] == "crc32"
+
+    def test_save_restore_save_is_stable(self, square_db, tmp_path):
+        engine = run_partial(square_db,
+                             build_stream(square_db, devices=3, rounds=2))
+        first = tmp_path / "first.ckpt"
+        second = tmp_path / "second.ckpt"
+        engine.save_checkpoint(first)
+        StreamingEngine.load_checkpoint(
+            first, MLoc(square_db)).save_checkpoint(second)
+        payloads = []
+        for path in (first, second):
+            data = json.loads(path.read_text())
+            for volatile in ("crc32", "metrics", "stage_seconds"):
+                data.pop(volatile)
+            payloads.append(data)
+        assert payloads[0] == payloads[1]
+
     def test_crash_mid_checkpoint_preserves_previous(self, square_db,
                                                      tmp_path):
         frames = build_stream(square_db)
@@ -101,6 +132,21 @@ class TestIntegrity:
         path = tmp_path / "v2.ckpt"
         path.write_text(json.dumps(data))
         restored = StreamingEngine.load_checkpoint(path, MLoc(square_db))
+        assert restored.stats().frames_ingested == (
+            engine.stats().frames_ingested)
+
+
+    def test_unsorted_v3_body_still_restores(self, square_db, tmp_path):
+        # Earlier writers stored the payload in insertion order, with
+        # the CRC over its canonical (sorted) form.
+        engine = run_partial(square_db,
+                             build_stream(square_db, devices=2, rounds=2))
+        data = engine.checkpoint()
+        data["crc32"] = checkpoint_crc(data)
+        path = tmp_path / "unsorted.ckpt"
+        path.write_text(json.dumps(data))
+        restored = StreamingEngine.load_checkpoint(path, MLoc(square_db))
+        assert restored.checkpoint()["gamma"] == data["gamma"]
         assert restored.stats().frames_ingested == (
             engine.stats().frames_ingested)
 

@@ -48,6 +48,30 @@ class TestCall:
         assert len(attempts) == 3
         assert sleeps == pytest.approx([0.1, 0.2])
 
+    def test_schedule_built_only_after_a_failure(self):
+        policy = RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.5,
+                             sleep=lambda s: None)
+        built = []
+        delays = policy.delays
+
+        def counting_delays():
+            built.append(1)
+            return delays()
+
+        policy.delays = counting_delays
+        assert policy.call(lambda: "first") == "first"
+        assert built == []
+        attempts = []
+
+        def flaky():
+            attempts.append(1)
+            if len(attempts) < 3:
+                raise ReproError("transient")
+            return "third"
+
+        assert policy.call(flaky) == "third"
+        assert built == [1]
+
     def test_final_failure_reraises_original(self):
         policy = RetryPolicy(max_attempts=2, base_delay=0.0,
                              sleep=lambda s: None)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geometry.circle import Circle, circle_intersections, lens_area
 from repro.geometry.point import Point
@@ -123,6 +123,8 @@ class TestLensArea:
         assert lens_area(a, b) == pytest.approx(lens_area(b, a))
 
     @given(coord, coord, radius, coord, coord, radius)
+    # A subnormal centre distance: 2 * distance * r underflows to zero.
+    @example(ax=0.0, ay=5e-324, ar=0.25, bx=0.0, by=0.0, br=0.25)
     def test_bounds(self, ax, ay, ar, bx, by, br):
         a = Circle(Point(ax, ay), ar)
         b = Circle(Point(bx, by), br)
