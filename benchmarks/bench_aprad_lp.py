@@ -3,12 +3,14 @@
 The radius LP is re-solved every time the attack corpus grows.  This
 bench times three ways of absorbing the same evidence:
 
-* ``dense``       — cold fit with the dense two-phase tableau solver
-  (rebuilds and re-solves the full system);
-* ``revised``     — cold fit with the sparse revised-simplex engine;
-* ``incremental`` — the streaming path: the estimator already holds
-  the pre-delta corpus and LP basis, then ``ingest`` + warm-started
-  ``refit`` folds the delta in.
+* ``dense``       — cold fit with the dense two-phase tableau solver,
+  the tests' reference (rebuilds and re-solves the full system);
+* ``revised``     — cold fit with the sparse revised-simplex engine
+  (sparse-LU basis), the production default;
+* ``incremental`` — the streaming path every default ``ap-rad`` /
+  ``ap-loc`` re-fit takes: the estimator already holds the pre-delta
+  corpus and LP basis, then ``ingest`` + warm-started ``refit`` folds
+  the delta in.
 
 Sweeps AP count × observation count.  Every cell cross-checks that all
 three paths land on the same radii (to 1e-6, with a tie-break making

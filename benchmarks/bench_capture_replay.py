@@ -7,7 +7,11 @@ and measures:
 
 * **sequential** — records/sec through ``iter_capture`` (JSONL vs
   columnar, the record-at-a-time seam) and through
-  ``iter_capture_batches`` (the zero-copy columnar batch seam);
+  ``iter_capture_batches`` (the zero-copy columnar batch seam).  Every
+  mode reads the fields the engine's ingest reads — capture timestamp,
+  frame type, source, destination and BSSID — and folds them into a
+  checksum, so the batch seam pays for touching its columns and all
+  three modes must report the same checksum;
 * **selective** — one device's records only, where the columnar
   reader's per-block bloom filters skip whole blocks
   (``repro.capture.blocks_skipped``) and JSONL must decode everything;
@@ -29,14 +33,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import sys
 import time
+import zlib
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, List
+
+import numpy as np
 
 from repro import obs
-from repro.capture import make_capture_writer
+from repro.capture import NO_BSSID, make_capture_writer
+from repro.capture.records import CODE_OF
 from repro.engine import StreamingEngine, make_sink
 from repro.geometry.point import Point
 from repro.knowledge.apdb import ApDatabase, ApRecord
@@ -113,15 +122,50 @@ def write_corpus(records: int, jsonl_path: str, columnar_path: str,
     }
 
 
+_FLOAT = struct.Struct("<d")
+_UINT = struct.Struct("<Q")
+
+
+def _fold_batch(acc: List[int], batch) -> None:
+    """XOR the engine-read columns of ``batch`` into ``acc``.
+
+    ``acc`` holds one running XOR per field: frame-type code, source,
+    destination, BSSID and the bit pattern of ``rx_ts``.
+    """
+    records = batch.records
+    rx_bits = np.ascontiguousarray(records["rx_ts"]).view(np.uint64)
+    columns = (records["kind"].astype(np.uint64), records["src"],
+               records["dst"], records["bssid"], rx_bits)
+    for slot, column in enumerate(columns):
+        acc[slot] ^= int(np.bitwise_xor.reduce(column))
+
+
+def _fold_record(acc: List[int], received) -> None:
+    """The per-record twin of :func:`_fold_batch`."""
+    frame = received.frame
+    acc[0] ^= CODE_OF[frame.frame_type]
+    acc[1] ^= frame.source.value
+    acc[2] ^= frame.destination.value
+    acc[3] ^= NO_BSSID if frame.bssid is None else frame.bssid.value
+    acc[4] ^= _UINT.unpack(_FLOAT.pack(received.rx_timestamp))[0]
+
+
 def _timed_replay(iterator: Iterator, batched: bool) -> dict:
+    acc = [0] * 5
+    count = 0
     start = time.perf_counter()
     if batched:
-        count = sum(len(batch) for batch in iterator)
+        for batch in iterator:
+            _fold_batch(acc, batch)
+            count += len(batch)
     else:
-        count = sum(1 for _ in iterator)
+        for received in iterator:
+            _fold_record(acc, received)
+            count += 1
     elapsed = time.perf_counter() - start
     return {
         "records": count,
+        "checksum": zlib.crc32(b"".join(_UINT.pack(v) for v in acc)),
         "wall_s": elapsed,
         "records_per_sec": count / elapsed if elapsed > 0.0 else 0.0,
     }
@@ -142,6 +186,10 @@ def run_sequential(jsonl_path: str, columnar_path: str,
     for label, run in modes.items():
         report[label] = max((run() for _ in range(repeats)),
                             key=lambda r: r["records_per_sec"])
+    checksums = {label: timing["checksum"]
+                 for label, timing in report.items()}
+    assert len(set(checksums.values())) == 1, (
+        f"replay seams read different data: {checksums}")
     baseline = report["jsonl_records"]["records_per_sec"]
     for label in ("columnar_records", "columnar_batches"):
         report[f"{label}_speedup"] = (
@@ -178,6 +226,8 @@ def run_selective(jsonl_path: str, columnar_path: str,
                          if columnar_wall > 0.0 else 0.0)
     assert report["jsonl"]["records"] == report["columnar"]["records"], (
         "selective replay disagrees between formats")
+    assert report["jsonl"]["checksum"] == report["columnar"]["checksum"], (
+        "selective replay read different data per format")
     return report
 
 

@@ -39,6 +39,7 @@ from repro.knowledge.wardrive import TrainingTuple
 from repro.localization.aprad import APRad
 from repro.localization.base import LocalizationEstimate, Localizer
 from repro.localization.radius_lp import RadiusEstimate
+from repro.lp.problem import check_solver
 from repro.net80211.mac import MacAddress
 from repro.net80211.ssid import Ssid
 
@@ -54,7 +55,9 @@ class APLoc(Localizer):
         The "theoretical upper bound" used as the disc radius around
         each training location when placing APs.
     r_max / r_min / solver:
-        Passed through to the AP-Rad radius LP.
+        Passed through to the AP-Rad radius LP; ``solver`` defaults to
+        the warm-startable ``"revised"`` and an unknown name raises
+        ``ValueError`` at construction.
     refine_iterations:
         Extension beyond the paper: after the radius LP, re-place each
         AP using its *estimated* radius as the training-disc radius
@@ -72,7 +75,7 @@ class APLoc(Localizer):
 
     def __init__(self, training: Sequence[TrainingTuple],
                  training_radius_m: float, r_max: float,
-                 r_min: float = 1.0, solver: str = "simplex",
+                 r_min: float = 1.0, solver: str = "revised",
                  mloc_mode: str = "vertex",
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,
@@ -87,7 +90,7 @@ class APLoc(Localizer):
         self._aprad: Optional[APRad] = None  # built lazily in fit()
         self._r_max = r_max
         self._r_min = r_min
-        self._solver = solver
+        self._solver = check_solver(solver)
         self._mloc_mode = mloc_mode
         self._max_separated_neighbors = max_separated_neighbors
         self._min_evidence = min_evidence

@@ -17,6 +17,7 @@ from repro.knowledge.apdb import ApDatabase
 from repro.localization.base import LocalizationEstimate, Localizer
 from repro.localization.mloc import MLoc
 from repro.localization.radius_lp import RadiusEstimate, RadiusEstimator
+from repro.lp.problem import check_solver
 from repro.net80211.mac import MacAddress
 
 
@@ -31,13 +32,20 @@ class APRad(Localizer):
 
     ``locate`` raises if called before ``fit`` — AP-Rad has no radii
     until the LP has run.
+
+    ``solver`` picks the radius-LP backend (see
+    :class:`~repro.localization.radius_lp.RadiusEstimator`): the default
+    ``"revised"`` keeps its LP and basis across :meth:`partial_fit`
+    calls and warm-starts each re-fit; ``"simplex"`` and ``"scipy"``
+    rebuild and solve cold every time.  An unknown name raises
+    ``ValueError`` at construction.
     """
 
     name = "ap-rad"
     supports_partial_fit = True
 
     def __init__(self, database: ApDatabase, r_max: float,
-                 r_min: float = 1.0, solver: str = "simplex",
+                 r_min: float = 1.0, solver: str = "revised",
                  mloc_mode: str = "vertex",
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,
@@ -46,7 +54,7 @@ class APRad(Localizer):
         self.database = database
         self.r_max = r_max
         self.r_min = r_min
-        self.solver = solver
+        self.solver = check_solver(solver)
         self.mloc_mode = mloc_mode
         self.max_separated_neighbors = max_separated_neighbors
         self.min_evidence = min_evidence
@@ -94,8 +102,8 @@ class APRad(Localizer):
                     ) -> RadiusEstimate:
         """Fold new observations in and re-solve incrementally.
 
-        The estimator (and with ``solver="revised"`` its LP basis)
-        persists across calls, so each re-fit costs roughly the
+        The estimator (and with the default ``solver="revised"`` its LP
+        basis) persists across calls, so each re-fit costs roughly the
         evidence delta instead of the accumulated corpus.  The first
         call on an unfitted instance is equivalent to :meth:`fit`.
         """

@@ -34,10 +34,10 @@ the evidence counters, and :meth:`RadiusEstimator.refit` re-solves by
 *mutating* the persistent LP instead of rebuilding it — new co-observed
 pairs append ">=" rows, separated pairs that became co-observed have
 their "<=" rows retuned to a never-binding right-hand side ("inerted"),
-and with ``solver="revised"`` the solve warm-starts from the previous
-optimal basis, so re-fit cost scales with the evidence delta rather
-than the corpus size.  Inert rows are garbage-collected by a full
-rebuild once they outnumber the live ones.
+and with the default ``solver="revised"`` the solve warm-starts from
+the previous optimal basis, so re-fit cost scales with the evidence
+delta rather than the corpus size.  Inert rows are garbage-collected by
+a full rebuild once they outnumber the live ones.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro import obs
 from repro.faults import InfeasibleError, SolverError, UnboundedError
 from repro.geometry.grid import SpatialGrid
 from repro.geometry.point import Point
-from repro.lp.problem import LpProblem
+from repro.lp.problem import LpProblem, check_solver
 from repro.lp.revised import LpState
 from repro.net80211.mac import MacAddress
 
@@ -101,9 +101,10 @@ class RadiusEstimator:
     r_min:
         Lower bound; a working AP has some nonzero range.
     solver:
-        ``"simplex"`` (dense tableau), ``"revised"`` (sparse, warm-
-        startable — required for cheap incremental refits), or
-        ``"scipy"``.
+        ``"revised"`` (the default: sparse revised simplex, warm-
+        startable — what makes incremental refits cheap), ``"simplex"``
+        (the dense tableau reference) or ``"scipy"``; anything else
+        raises ``ValueError`` here rather than at the first fit.
     tie_break:
         When > 0, adds a deterministic per-variable objective
         perturbation of this magnitude (scaled into ``(0, tie_break]``
@@ -115,7 +116,7 @@ class RadiusEstimator:
     """
 
     def __init__(self, locations: Dict[MacAddress, Point], r_max: float,
-                 r_min: float = 1.0, solver: str = "simplex",
+                 r_min: float = 1.0, solver: str = "revised",
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,
                  overestimate_factor: float = 1.0,
@@ -132,7 +133,7 @@ class RadiusEstimator:
         self.r_min = r_min
         if min_evidence < 1:
             raise ValueError(f"min_evidence must be >= 1, got {min_evidence}")
-        self.solver = solver
+        self.solver = check_solver(solver)
         self.max_separated_neighbors = max_separated_neighbors
         #: "if over a *sufficient amount of time*, the two APs have
         #: never been observed by the same mobile device" — a
@@ -207,10 +208,10 @@ class RadiusEstimator:
     def refit(self) -> RadiusEstimate:
         """Re-solve after :meth:`ingest`, reusing the previous LP.
 
-        With ``solver="revised"`` the existing constraint system is
-        mutated in place (rows appended or inerted, never rebuilt) and
-        the solve warm-starts from the last optimal basis; other
-        backends fall back to a full rebuild + cold solve.
+        With ``solver="revised"`` (the default) the existing constraint
+        system is mutated in place (rows appended or inerted, never
+        rebuilt) and the solve warm-starts from the last optimal basis;
+        other backends fall back to a full rebuild + cold solve.
         """
         if self._problem is None or self.solver != "revised":
             self._rebuild_problem()

@@ -11,12 +11,13 @@ distance by solving::
 This package provides two from-scratch solvers behind one modeling
 layer (:class:`LpProblem`):
 
-* :func:`solve_lp` — a dense two-phase tableau simplex, the reference
-  implementation;
-* :func:`solve_revised` — a sparse revised simplex (CSC constraint
-  storage, LU-factorized basis with product-form eta updates) that
-  accepts an :class:`LpState` warm start, so streaming AP-Rad re-fits
-  restart from the previous optimal basis.
+* :func:`solve_revised` — the production solver and the default of
+  :meth:`LpProblem.solve`: a sparse revised simplex (CSC constraint
+  storage, sparse-LU-factorized basis with product-form eta updates)
+  that accepts an :class:`LpState` warm start, so streaming AP-Rad
+  re-fits restart from the previous optimal basis;
+* :func:`solve_lp` — a dense two-phase tableau simplex, kept as the
+  test suite's reference implementation.
 
 Both are cross-checked against each other and against
 ``scipy.optimize.linprog`` in the test suite.

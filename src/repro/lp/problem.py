@@ -8,10 +8,11 @@ Lets AP-Rad express its radius-estimation program naturally::
     problem.set_objective({i: 1.0 for i in range(n)})
     result = problem.solve()
 
-The ``solver`` argument selects the from-scratch dense simplex
-(default), the sparse revised simplex (``"revised"`` — supports warm
-starts from a previous solve's basis), or ``scipy.optimize.linprog``
-(used by the test suite as a cross-check).
+The ``solver`` argument selects the sparse revised simplex
+(``"revised"``, the default — supports warm starts from a previous
+solve's basis), the dense tableau simplex (``"simplex"``, kept as the
+test suite's reference), or ``scipy.optimize.linprog`` (``"scipy"``, an
+external cross-check).
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ from repro.lp.revised import LpState, RevisedResult, solve_revised
 from repro.lp.simplex import LpResult, solve_lp
 
 _SENSES = ("<=", ">=", "==")
+#: The ``solver`` names :meth:`LpProblem.solve` accepts, default first.
+SOLVERS = ("revised", "simplex", "scipy")
+
+
+def check_solver(solver: str) -> str:
+    """Return ``solver`` if it names a backend, else raise ValueError."""
+    if solver not in SOLVERS:
+        raise ValueError(
+            f"unknown solver {solver!r}; expected one of: "
+            f"{', '.join(SOLVERS)}")
+    return solver
 
 
 def _check_result(result: LpResult, raise_on_failure: bool) -> LpResult:
@@ -138,14 +150,14 @@ class LpProblem:
                 b_eq.append(constraint.rhs)
         return cost, a_ub, b_ub, a_eq, b_eq
 
-    def solve(self, solver: str = "simplex", max_iter: int = 20000,
+    def solve(self, solver: str = "revised", max_iter: int = 20000,
               warm_start: Optional[LpState] = None,
               raise_on_failure: bool = False) -> LpResult:
         """Solve with the chosen backend.
 
-        ``"simplex"`` is the dense reference implementation,
-        ``"revised"`` the sparse revised simplex (the only backend that
-        honors ``warm_start``), and ``"scipy"`` linprog/HiGHS as an
+        ``"revised"`` is the sparse revised simplex (the default, and
+        the only backend that honors ``warm_start``), ``"simplex"`` the
+        dense tableau reference, and ``"scipy"`` linprog/HiGHS as an
         external cross-check.
 
         With ``raise_on_failure=True`` a non-optimal outcome raises the
@@ -154,7 +166,7 @@ class LpProblem:
         :class:`~repro.faults.SolverError` instead of making every
         caller string-match ``result.status``.
         """
-        if solver == "revised":
+        if check_solver(solver) == "revised":
             return self.solve_revised(max_iter=max_iter,
                                       warm_start=warm_start,
                                       raise_on_failure=raise_on_failure)
@@ -167,9 +179,7 @@ class LpProblem:
                          bounds=self._bounds, maximize=self.maximize,
                          max_iter=max_iter),
                 raise_on_failure)
-        if solver == "scipy":
-            return _check_result(self._solve_scipy(), raise_on_failure)
-        raise ValueError(f"unknown solver {solver!r}")
+        return _check_result(self._solve_scipy(), raise_on_failure)
 
     def solve_revised(self, max_iter: int = 20000,
                       warm_start: Optional[LpState] = None,

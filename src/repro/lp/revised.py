@@ -12,12 +12,12 @@ engine built for that shape:
   materialized.  Row slacks make every row an equality, and variable
   bounds are handled directly by the bounded-variable simplex instead
   of being expanded into extra rows.
-* **Factorized basis** — only the ``m × m`` basis is factorized (LU via
-  LAPACK — ``scipy.linalg.lu_factor`` when scipy is importable, an
-  explicit LAPACK-computed inverse otherwise), and each pivot appends a
-  product-form eta vector instead of refactorizing.  The basis is
-  refactorized — and the basic solution recomputed to wash out drift —
-  every :data:`REFACTOR_EVERY` pivots or on a degenerate pivot element.
+* **Factorized basis** — only the ``m × m`` basis is factorized, as a
+  sparse LU (``scipy.sparse.linalg.splu``) built from the basis
+  columns' CSC slices, and each pivot appends a product-form eta
+  vector instead of refactorizing.  The basis is refactorized — and
+  the basic solution recomputed to wash out drift — every
+  :data:`REFACTOR_EVERY` pivots or on a degenerate pivot element.
 * **Dantzig pricing with Bland fallback** — steepest reduced cost
   normally, switching to Bland's least-index rule after a pivot budget
   so degenerate instances terminate.
@@ -44,15 +44,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from repro import obs
-
-try:  # scipy is optional; the solver is self-contained without it.
-    from scipy.linalg import lu_factor as _lu_factor
-    from scipy.linalg import lu_solve as _lu_solve
-except ImportError:  # pragma: no cover - exercised on scipy-free hosts
-    _lu_factor = None
-    _lu_solve = None
 
 #: Reduced-cost optimality tolerance.
 DUAL_TOL = 1e-9
@@ -185,51 +180,42 @@ class _SingularBasis(Exception):
 
 
 class _BasisFactor:
-    """LU-factorized basis with product-form eta updates.
+    """Sparse-LU-factorized basis with product-form eta updates.
 
     ``ftran`` solves ``B x = a`` and ``btran`` solves ``B^T y = c``.
-    Each pivot appends one eta vector; the owner refactorizes when the
-    eta file grows past :data:`REFACTOR_EVERY` or a pivot is too small.
+    The basis columns are gathered straight from the constraint
+    matrix's CSC arrays and factorized by SuperLU (``splu``), so the
+    factor costs the basis's nonzeros, not ``m²``.  Each pivot appends
+    one eta vector; the owner refactorizes when the eta file grows past
+    :data:`REFACTOR_EVERY` or a pivot is too small.
     """
 
     def __init__(self, matrix: _Csc, basis: np.ndarray):
         m = matrix.m
-        dense = np.zeros((m, m))
-        for position, column in enumerate(basis):
-            rows, values = matrix.column(int(column))
-            dense[rows, position] = values
-        if _lu_factor is not None:
-            lu, piv = _lu_factor(dense, check_finite=False)
-            diag = np.abs(np.diag(lu))
-            scale = max(1.0, float(np.abs(dense).max())) if m else 1.0
-            if m and diag.min() <= 1e-11 * scale:
-                raise _SingularBasis
-            self._lu = (lu, piv)
-            self._inv = None
-        else:
-            try:
-                inverse = np.linalg.inv(dense)
-            except np.linalg.LinAlgError as error:
-                raise _SingularBasis from error
-            if not np.all(np.isfinite(inverse)):
-                raise _SingularBasis
-            self._lu = None
-            self._inv = inverse
+        starts = matrix.indptr[basis]
+        counts = matrix.indptr[basis + 1] - starts
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        gather = (np.repeat(starts - indptr[:-1], counts)
+                  + np.arange(indptr[-1]))
+        data = matrix.data[gather]
+        basis_matrix = csc_matrix((data, matrix.indices[gather], indptr),
+                                  shape=(m, m))
+        try:
+            self._lu = splu(basis_matrix)
+        except RuntimeError as error:  # exactly singular
+            raise _SingularBasis from error
+        diag = np.abs(self._lu.U.diagonal())
+        if diag.min() <= 1e-11 * max(1.0, float(np.abs(data).max())):
+            raise _SingularBasis
         self._etas: List[Tuple[int, np.ndarray]] = []
 
     @property
     def eta_count(self) -> int:
         return len(self._etas)
 
-    def _base_solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
-        if self._lu is not None:
-            return _lu_solve(self._lu, rhs, trans=1 if transpose else 0,
-                             check_finite=False)
-        inverse = self._inv
-        return (inverse.T @ rhs) if transpose else (inverse @ rhs)
-
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._base_solve(rhs, transpose=False)
+        x = self._lu.solve(rhs)
         for position, eta in self._etas:
             pivot_value = x[position]
             if pivot_value != 0.0:
@@ -241,7 +227,7 @@ class _BasisFactor:
         y = np.array(rhs, dtype=float, copy=True)
         for position, eta in reversed(self._etas):
             y[position] = float(eta @ y)
-        return self._base_solve(y, transpose=True)
+        return self._lu.solve(y, trans="T")
 
     def update(self, position: int, w: np.ndarray) -> bool:
         """Fold in a pivot replacing basis ``position`` (``w = B⁻¹ a_q``).

@@ -117,6 +117,18 @@ class TestEngineRegistry:
         # The re-fit wall time landed in the fit stage series.
         assert stats.stage_seconds.get("fit", 0.0) > 0.0
 
+    def test_default_aprad_spec_refits_on_the_revised_lp(self, square_db):
+        # No solver= option: the production default is the revised
+        # simplex, and the dense tableau never runs.
+        localizer = make_localizer("ap-rad:r_max=150", database=square_db)
+        engine = StreamingEngine(localizer, window_s=30.0, batch_size=3,
+                                 refit_every=20)
+        stats = engine.run(iter(build_stream(square_db)))
+        assert stats.refits > 0
+        counters = engine.metrics_snapshot()["counters"]
+        assert counters["repro.lp.revised.pivots"] > 0
+        assert counters.get("repro.lp.dense.pivots", 0) == 0
+
     def test_stats_is_a_view_over_the_registry(self, square_db):
         engine = StreamingEngine(MLoc(square_db), batch_size=3)
         engine.ingest_stream(build_stream(square_db, devices=2, rounds=1))

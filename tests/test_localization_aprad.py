@@ -36,6 +36,21 @@ class TestLifecycle:
         assert all(0.0 < r <= 100.0 for r in radii.values())
 
 
+class TestIncrementalDefault:
+    def test_second_partial_fit_warm_starts_without_solver_option(
+            self, location_db):
+        aprad = APRad(location_db, r_max=100.0)
+        bssids = location_db.bssids
+        first = aprad.partial_fit([set(bssids[:2])])
+        assert not first.warm_started
+        aprad.partial_fit([set(bssids[1:3])])
+        assert aprad.last_fit.warm_started
+
+    def test_unknown_solver_raises_at_construction(self, location_db):
+        with pytest.raises(ValueError, match="unknown solver"):
+            APRad(location_db, r_max=100.0, solver="revsed")
+
+
 class TestLocalization:
     def test_locates_square_center(self, location_db):
         aprad = APRad(location_db, r_max=100.0)

@@ -164,6 +164,17 @@ class TestFactory:
             make_localizer("ap-loc:training_radius_m=90,r_max=150",
                            database=square_db)
 
+    @pytest.mark.parametrize("spec", [
+        "ap-rad:r_max=85,solver=revsed",
+        "ap-loc:training_radius_m=90,r_max=150,solver=revsed",
+    ])
+    def test_unknown_solver_raises_at_construction(self, spec, square_db,
+                                                   training):
+        # Caught here, not refit_every events into a streaming run.
+        with pytest.raises(ValueError,
+                           match="'revsed'.*revised, simplex, scipy"):
+            build(spec, square_db, training)
+
     def test_bad_keyword_raises_value_error(self, square_db):
         with pytest.raises(ValueError, match="bad options"):
             make_localizer("m-loc:warp_factor=9", database=square_db)

@@ -62,6 +62,17 @@ class TestConstraints:
         assert total == pytest.approx(100.0, abs=0.01)
 
 
+class TestSolverChoice:
+    def test_defaults_to_revised(self):
+        estimator = RadiusEstimator(collinear_locations(), r_max=100.0)
+        assert estimator.solver == "revised"
+
+    def test_unknown_solver_raises_at_construction(self):
+        with pytest.raises(ValueError, match="expected one of"):
+            RadiusEstimator(collinear_locations(), r_max=100.0,
+                            solver="revsed")
+
+
 class TestEvidenceThreshold:
     def test_min_evidence_suppresses_weak_negatives(self):
         locations = {A: Point(0.0, 0.0), B: Point(100.0, 0.0)}
@@ -112,7 +123,7 @@ class TestNeighborCap:
 
 
 class TestRecoveryQuality:
-    @pytest.mark.parametrize("solver", ["simplex", "scipy"])
+    @pytest.mark.parametrize("solver", ["simplex", "scipy", "revised"])
     def test_recovers_radii_on_dense_evidence(self, solver):
         """With full spatial sampling, estimated radii track the truth."""
         rng = np.random.default_rng(4)
@@ -137,11 +148,12 @@ class TestRecoveryQuality:
         errors = [abs(estimate.radii[m] - true_r[m]) for m in locations]
         assert np.mean(errors) < 25.0
 
-    def test_solvers_agree(self):
+    @pytest.mark.parametrize("solver", ["simplex", "revised"])
+    def test_solvers_agree(self, solver):
         locations = collinear_locations()
         observations = [{A, B}, {B}, {C}]
         ours = RadiusEstimator(locations, r_max=100.0,
-                               solver="simplex").fit(observations)
+                               solver=solver).fit(observations)
         scipy_fit = RadiusEstimator(locations, r_max=100.0,
                                     solver="scipy").fit(observations)
         total_ours = sum(ours.radii.values())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lp import LpProblem, LpState, solve_lp, solve_revised
+from repro.lp.revised import _BasisFactor, _build_csc, _SingularBasis
 
 # Quantized draws: see the rationale in test_lp_simplex.py — denormal
 # coefficients make instances so ill-conditioned that two correct
@@ -367,3 +368,79 @@ class TestScipyCrossCheck:
                                                    rel=1e-6, abs=1e-6)
         elif reference.status == 2:
             assert ours.status == "infeasible"
+
+
+class TestBasisFactor:
+    """The sparse-LU basis with its eta file, against dense algebra."""
+
+    @staticmethod
+    def _explicit(matrix, basis):
+        dense = np.zeros((matrix.m, len(basis)))
+        for position, column in enumerate(basis):
+            rows, values = matrix.column(int(column))
+            dense[rows, position] = values
+        return dense
+
+    def _swap_in(self, factor, matrix, basis, rng, count):
+        """Pivot ``count`` random structural columns into ``basis``."""
+        target = factor.eta_count + count
+        while factor.eta_count < target:
+            column = int(rng.integers(matrix.n - matrix.m))
+            w = factor.ftran(self._explicit(matrix, [column])[:, 0])
+            position = int(np.argmax(np.abs(w)))
+            if abs(w[position]) < 0.1:
+                continue  # an empty or ill-conditioned entering column
+            assert factor.update(position, w)
+            basis[position] = column
+
+    @pytest.mark.parametrize("updates", [0, 1, 5, 12])
+    def test_ftran_btran_match_dense_solve_after_eta_updates(self,
+                                                             updates):
+        rng = np.random.default_rng(updates)
+        n, m = 12, 10
+        constraints = []
+        for _ in range(m):
+            picks = rng.choice(n, size=3, replace=False)
+            coefficients = {int(j): float(rng.uniform(0.5, 2.0))
+                            for j in picks}
+            constraints.append((coefficients, "<=", 1.0))
+        matrix, _, _, _ = _build_csc(constraints, n)
+        # Factor a non-symmetric basis (a plain slack basis is the
+        # identity, where a transposed solve goes unnoticed), then
+        # stack eta updates on top of it.
+        basis = np.arange(n, n + m, dtype=np.int64)
+        self._swap_in(_BasisFactor(matrix, basis), matrix, basis, rng, 6)
+        factor = _BasisFactor(matrix, basis)
+        self._swap_in(factor, matrix, basis, rng, updates)
+        explicit = self._explicit(matrix, basis)
+        rhs = rng.normal(size=m)
+        np.testing.assert_allclose(factor.ftran(rhs.copy()),
+                                   np.linalg.solve(explicit, rhs),
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(factor.btran(rhs),
+                                   np.linalg.solve(explicit.T, rhs),
+                                   rtol=1e-9, atol=1e-9)
+
+    # x0 and x1 have identical columns, so any basis holding both is
+    # singular — exactly, or to within the U-diagonal test when the
+    # copy is perturbed far below working precision.
+    @pytest.mark.parametrize("twin", [1.0, 1.0 + 1e-13])
+    def test_duplicated_column_is_singular(self, twin):
+        constraints = [({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 4.0),
+                       ({0: 1.0, 1: twin}, "<=", 3.0)]
+        matrix, _, _, _ = _build_csc(constraints, 3)
+        with pytest.raises(_SingularBasis):
+            _BasisFactor(matrix, np.array([0, 1], dtype=np.int64))
+
+    def test_singular_warm_start_falls_back_to_cold(self):
+        constraints = [({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 4.0),
+                       ({0: 1.0, 1: 1.0}, "<=", 3.0)]
+        args = dict(lower=[0.0] * 3, upper=[None] * 3, maximize=True)
+        cold = solve_revised([1.0, 2.0, 1.0], constraints, **args)
+        singular = LpState(row_basic=(("v", 0), ("v", 1)))
+        warm = solve_revised([1.0, 2.0, 1.0], constraints,
+                             warm_start=singular, **args)
+        assert cold.is_optimal and warm.is_optimal
+        assert not warm.warm_started
+        assert warm.objective == pytest.approx(cold.objective)
+        np.testing.assert_allclose(warm.x, cold.x)
