@@ -1,13 +1,12 @@
-"""Localization kernel throughput: scalar vs vectorized vs parallel.
+"""Localization kernel throughput: scalar vs vectorized.
 
 The M-Loc hot loop is pairwise circle intersection + containment
-filtering.  This bench times three implementations of the same batch of
+filtering.  This bench times two implementations of the same batch of
 Γ-set localizations:
 
-* ``scalar``   — the reference per-pair Python path
+* ``scalar`` — the reference per-pair Python path
   (``set_kernel_default(False)``, sequential ``locate`` calls);
-* ``kernel``   — the batched NumPy kernels behind ``locate_batch``;
-* ``parallel`` — ``locate_batch`` fanned across a ProcessPoolExecutor.
+* ``kernel`` — the batched NumPy kernels behind ``locate_batch``.
 
 Sweeps k (discs per Γ) × batch size, reporting disc sets/sec per
 implementation.  Run standalone for the JSON report (the tier-1 smoke
@@ -26,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import FrozenSet, List
 
 import numpy as np
@@ -118,8 +116,8 @@ def _time_sets_per_sec(run, batch: int, repeats: int) -> float:
 
 
 def run_cell(localizer: MLoc, gammas: List[FrozenSet[MacAddress]],
-             executor, repeats: int) -> dict:
-    """Time the three implementations over one (k, batch) workload."""
+             repeats: int) -> dict:
+    """Time both implementations over one (k, batch) workload."""
     batch = len(gammas)
 
     def scalar():
@@ -133,48 +131,30 @@ def run_cell(localizer: MLoc, gammas: List[FrozenSet[MacAddress]],
     def kernel():
         localizer.locate_batch(gammas)
 
-    def parallel():
-        localizer.locate_batch(gammas, executor=executor)
-
     scalar_rate = _time_sets_per_sec(scalar, batch, repeats)
     kernel_rate = _time_sets_per_sec(kernel, batch, repeats)
-    parallel_rate = (_time_sets_per_sec(parallel, batch, repeats)
-                     if executor is not None else None)
-    cell = {
+    return {
         "scalar_sets_per_sec": scalar_rate,
         "kernel_sets_per_sec": kernel_rate,
         "kernel_speedup": (kernel_rate / scalar_rate
                            if scalar_rate > 0.0 else 0.0),
     }
-    if parallel_rate is not None:
-        cell["parallel_sets_per_sec"] = parallel_rate
-        cell["parallel_speedup"] = (parallel_rate / scalar_rate
-                                    if scalar_rate > 0.0 else 0.0)
-    return cell
 
 
-def run_sweep(ks, batches, repeats: int = 3, workers: int = 4,
-              clusters: int = 64,
+def run_sweep(ks, batches, repeats: int = 3, clusters: int = 64,
               hard_fraction: float = DEFAULT_HARD_FRACTION) -> dict:
     database = build_database(clusters)
     localizer = MLoc(database)
-    executor = (ProcessPoolExecutor(max_workers=workers)
-                if workers > 1 else None)
     results = []
-    try:
-        for k in ks:
-            if k > CLUSTER_SIZE:
-                raise ValueError(f"k={k} exceeds cluster size "
-                                 f"{CLUSTER_SIZE}")
-            for batch in batches:
-                gammas = build_gammas(k, batch, clusters,
-                                      hard_fraction=hard_fraction)
-                cell = run_cell(localizer, gammas, executor, repeats)
-                cell.update({"k": k, "batch": batch})
-                results.append(cell)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for k in ks:
+        if k > CLUSTER_SIZE:
+            raise ValueError(f"k={k} exceeds cluster size {CLUSTER_SIZE}")
+        for batch in batches:
+            gammas = build_gammas(k, batch, clusters,
+                                  hard_fraction=hard_fraction)
+            cell = run_cell(localizer, gammas, repeats)
+            cell.update({"k": k, "batch": batch})
+            results.append(cell)
     # The acceptance cell: the largest workload in the sweep.
     acceptance = max(results, key=lambda c: (c["k"], c["batch"]))
     return {
@@ -183,11 +163,8 @@ def run_sweep(ks, batches, repeats: int = 3, workers: int = 4,
             "ks": list(ks),
             "batches": list(batches),
             "repeats": repeats,
-            "workers": workers,
             "clusters": clusters,
             "hard_fraction": hard_fraction,
-            # Parallel rows only mean something when the host can
-            # actually run the workers side by side.
             "cpus": os.cpu_count(),
         },
         "results": results,
@@ -195,7 +172,6 @@ def run_sweep(ks, batches, repeats: int = 3, workers: int = 4,
             "k": acceptance["k"],
             "batch": acceptance["batch"],
             "kernel_speedup": acceptance["kernel_speedup"],
-            "parallel_speedup": acceptance.get("parallel_speedup"),
         },
     }
 
@@ -211,8 +187,7 @@ def test_localization_kernel_speedup(benchmark, reporter):
 
     benchmark(lambda: localizer.locate_batch(gammas))
 
-    report = run_sweep(ks=(10,), batches=(256,), repeats=2, workers=2,
-                       clusters=16)
+    report = run_sweep(ks=(10,), batches=(256,), repeats=2, clusters=16)
     cell = report["results"][0]
     reporter("", "=== Localization kernels: scalar vs vectorized ===",
              f"  k=10 batch=256 scalar : "
@@ -235,7 +210,7 @@ def _int_list(text: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Localization throughput: scalar vs kernel vs parallel")
+        description="Localization throughput: scalar vs kernel")
     parser.add_argument("--ks", type=_int_list, default=DEFAULT_KS,
                         help="comma-separated discs-per-Γ sizes")
     parser.add_argument("--batches", type=_int_list,
@@ -243,9 +218,6 @@ def main(argv=None) -> int:
                         help="comma-separated batch sizes")
     parser.add_argument("--repeats", type=int, default=3,
                         help="runs per cell (best is reported)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="process-pool width for the parallel rows"
-                             " (1 disables the parallel column)")
     parser.add_argument("--clusters", type=int, default=64,
                         help="AP clusters backing the synthetic Γ sets")
     parser.add_argument("--hard-fraction", type=float,
@@ -258,30 +230,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run_sweep(args.ks, args.batches, repeats=args.repeats,
-                       workers=args.workers, clusters=args.clusters,
+                       clusters=args.clusters,
                        hard_fraction=args.hard_fraction)
     header = f"{'k':>3} {'batch':>6} {'scalar/s':>10} {'kernel/s':>10} "
     header += f"{'kx':>6}"
-    if args.workers > 1:
-        header += f" {'parallel/s':>11} {'px':>6}"
     print(header)
     for cell in report["results"]:
-        line = (f"{cell['k']:>3} {cell['batch']:>6} "
-                f"{cell['scalar_sets_per_sec']:>10.0f} "
-                f"{cell['kernel_sets_per_sec']:>10.0f} "
-                f"{cell['kernel_speedup']:>5.1f}x")
-        if "parallel_sets_per_sec" in cell:
-            line += (f" {cell['parallel_sets_per_sec']:>11.0f} "
-                     f"{cell['parallel_speedup']:>5.1f}x")
-        print(line)
+        print(f"{cell['k']:>3} {cell['batch']:>6} "
+              f"{cell['scalar_sets_per_sec']:>10.0f} "
+              f"{cell['kernel_sets_per_sec']:>10.0f} "
+              f"{cell['kernel_speedup']:>5.1f}x")
     acceptance = report["acceptance"]
     print(f"acceptance cell k={acceptance['k']} "
           f"batch={acceptance['batch']}: "
           f"kernel speedup {acceptance['kernel_speedup']:.2f}x")
-    cpus = report["config"]["cpus"]
-    if args.workers > 1 and cpus is not None and cpus < args.workers:
-        print(f"note: host has {cpus} CPU(s) < {args.workers} workers —"
-              f" the parallel column measures IPC overhead, not scaling")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)

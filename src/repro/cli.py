@@ -115,11 +115,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="Γ-set memoization entries (0 disables)")
     p_engine.add_argument("--no-cache", action="store_true",
                           help="disable Γ-set memoization")
-    p_engine.add_argument("--workers", type=int, default=None,
-                          help="process-pool width for batch "
-                               "localization (default 1; resumed runs "
-                               "keep the checkpointed width unless "
-                               "overridden)")
     p_engine.add_argument("--refit-every", type=int, default=0,
                           help="re-fit AP radii (incremental AP-Rad LP) "
                                "every N evidence events; 0 keeps the "
@@ -154,10 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_engine.add_argument("--quarantine-after", type=int, default=3,
                           help="quarantine a device after N consecutive "
                                "localization failures (0 disables)")
-    p_engine.add_argument("--worker-timeout", type=float, default=None,
-                          metavar="SECONDS",
-                          help="per-chunk deadline for pool workers "
-                               "(default: wait forever)")
     p_engine.add_argument("--tracks", action="store_true",
                           help="print every device's track, not just "
                                "the latest fixes")
@@ -752,13 +743,10 @@ def _cmd_engine(args) -> int:
         return _fail(str(error))
     cache_size = 0 if args.no_cache else args.cache_size
     fixes = make_sink("latest")
-    if args.workers is not None and args.workers < 1:
-        return _fail(f"--workers must be >= 1, got {args.workers}")
     if checkpoint_data is not None:
         try:
             engine = StreamingEngine.restore(
-                checkpoint_data, localizer, sinks=[fixes],
-                workers=args.workers)
+                checkpoint_data, localizer, sinks=[fixes])
         except (ValueError, KeyError, TypeError) as error:
             return _fail(f"corrupt checkpoint {args.resume!r}: {error}")
         print(f"Resumed from {args.resume} "
@@ -768,10 +756,8 @@ def _cmd_engine(args) -> int:
             engine = StreamingEngine(localizer, window_s=args.window,
                                      batch_size=args.batch,
                                      cache_size=cache_size, sinks=[fixes],
-                                     workers=args.workers or 1,
                                      refit_every=refit_every,
-                                     quarantine_after=args.quarantine_after,
-                                     worker_timeout_s=args.worker_timeout)
+                                     quarantine_after=args.quarantine_after)
         except ValueError as error:
             return _fail(str(error))
     recorder = obs.SpanRecorder() if args.trace else None

@@ -38,7 +38,6 @@ import json
 import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Union)
@@ -46,12 +45,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 import numpy as np
 
 from repro import faults, obs
-from repro.faults import (
-    CheckpointError,
-    ReproError,
-    RetryPolicy,
-    WorkerSupervisor,
-)
+from repro.faults import CheckpointError, ReproError, RetryPolicy
 from repro.capture.records import NO_BSSID, FrameBatch, mac_from_int
 from repro.engine.cache import GammaCache
 from repro.engine.ingest import GammaState, extract_evidence
@@ -102,13 +96,6 @@ class StreamingEngine:
         Capacity of the Γ-set memoization cache; ``0`` disables it.
     sinks:
         Extra :class:`EngineSink` consumers beside the built-in tracker.
-    workers:
-        Process-pool width for batch localization.  ``1`` (default)
-        keeps everything in-process; ``N > 1`` fans each micro-batch's
-        uncached Γ sets across a lazily created
-        ``ProcessPoolExecutor``.  Results are merged in submission
-        order either way, so tracks — and checkpoint/resume
-        equivalence — are independent of the worker count.
     refit_every:
         Re-fit the localizer's model every N evidence events (``0``
         disables).  Each Γ change is accumulated as a pending
@@ -142,22 +129,14 @@ class StreamingEngine:
         the device is quarantined — dropped from scheduling with the
         failing error recorded — so one poison Γ cannot stall the rest
         of the stream.  ``0`` disables quarantine.
-    worker_timeout_s:
-        Per-chunk deadline for pool workers (``None`` = wait forever).
-        On a timeout or pool breakage the supervisor replaces the pool
-        and re-dispatches the chunk, up to its bounded dispatch budget.
     """
 
     def __init__(self, localizer: Localizer, window_s: float = 30.0,
                  batch_size: int = 32, cache_size: int = 4096,
-                 sinks: Sequence[EngineSink] = (), workers: int = 1,
-                 refit_every: int = 0,
+                 sinks: Sequence[EngineSink] = (), refit_every: int = 0,
                  registry: Optional[obs.MetricsRegistry] = None,
                  retry: Optional[RetryPolicy] = None,
-                 quarantine_after: int = 3,
-                 worker_timeout_s: Optional[float] = None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+                 quarantine_after: int = 3):
         if refit_every < 0:
             raise ValueError(
                 f"refit_every must be >= 0, got {refit_every}")
@@ -165,19 +144,10 @@ class StreamingEngine:
             raise ValueError(
                 f"quarantine_after must be >= 0, got {quarantine_after}")
         self.localizer = localizer
-        self.workers = workers
         self.refit_every = refit_every
         self.retry = retry if retry is not None else RetryPolicy(
             max_attempts=3, base_delay=0.02, multiplier=2.0, jitter=0.0)
         self.quarantine_after = quarantine_after
-        self.worker_timeout_s = worker_timeout_s
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._supervisor = WorkerSupervisor(
-            timeout_s=worker_timeout_s,
-            max_dispatches=3,
-            on_failure=self._on_worker_failure,
-            current_executor=lambda: self._batch_executor(2),
-        ) if workers > 1 else None
         self.gamma_state = GammaState(window_s=window_s)
         self.scheduler = MicroBatchScheduler(batch_size=batch_size)
         self.cache: Optional[GammaCache] = (
@@ -375,7 +345,6 @@ class StreamingEngine:
             self.drain()
             for sink in self.sinks:
                 sink.close()
-            self.close()
         return self.stats()
 
     def run_batches(self, stream: Iterable[FrameBatch]) -> EngineStats:
@@ -390,7 +359,6 @@ class StreamingEngine:
             self.drain()
             for sink in self.sinks:
                 sink.close()
-            self.close()
         return self.stats()
 
     def drain(self) -> int:
@@ -408,25 +376,6 @@ class StreamingEngine:
                 # lost.
                 self._refit()
             return self.flush()
-
-    def close(self) -> None:
-        """Release the worker pool (recreated lazily if flushed again)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def _on_worker_failure(self, index: int, error: BaseException) -> None:
-        """Supervisor callback: a chunk timed out / its pool broke.
-
-        The pool is torn down without waiting — a wedged worker would
-        otherwise block shutdown — and the supervisor picks up a fresh
-        one through ``current_executor`` on re-dispatch.
-        """
-        self.registry.counter("repro.engine.worker.redispatch",
-                              error=type(error).__name__).inc()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
     # ------------------------------------------------------------------
     # Localize + sink stages
@@ -605,10 +554,8 @@ class StreamingEngine:
 
         Cache hits are resolved up front; the remaining *distinct* Γ
         sets (duplicates within a batch collapse to one computation)
-        go through :meth:`Localizer.locate_batch` in one shot —
-        vectorized in-process, or fanned across the worker pool when
-        ``workers > 1``.  Merge order is the batch's submission order,
-        keeping runs reproducible whatever the worker count.
+        go through :meth:`Localizer.locate_batch` in one shot, and
+        results merge back in the batch's submission order.
         """
         results: List[Optional[LocalizationEstimate]] = [None] * len(gammas)
         key = (self.localizer.cache_key() if self.cache is not None
@@ -633,24 +580,13 @@ class StreamingEngine:
         if not pending:
             return results
         order = list(pending.keys())
-        executor = self._batch_executor(len(order))
-        estimates = self.localizer.locate_batch(
-            order, executor=executor,
-            supervisor=self._supervisor if executor is not None else None)
+        estimates = self.localizer.locate_batch(order)
         for gamma, estimate in zip(order, estimates):
             if self.cache is not None:
                 self.cache.put(key, gamma, estimate)
             for index in pending[gamma]:
                 results[index] = estimate
         return results
-
-    def _batch_executor(self, pending_count: int
-                        ) -> Optional[ProcessPoolExecutor]:
-        if self.workers <= 1 or pending_count < 2:
-            return None
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._executor
 
     def _emit(self, mobile: MacAddress, timestamp: float,
               estimate: LocalizationEstimate) -> None:
@@ -764,10 +700,8 @@ class StreamingEngine:
                 "batch_size": self.scheduler.batch_size,
                 "cache_size": (self.cache.max_entries
                                if self.cache is not None else 0),
-                "workers": self.workers,
                 "refit_every": self.refit_every,
                 "quarantine_after": self.quarantine_after,
-                "worker_timeout_s": self.worker_timeout_s,
             },
             "gamma": self.gamma_state.to_dict(names),
             "dirty": self.scheduler.to_list(names),
@@ -865,15 +799,14 @@ class StreamingEngine:
 
     @classmethod
     def restore(cls, data: dict, localizer: Localizer,
-                sinks: Sequence[EngineSink] = (),
-                workers: Optional[int] = None) -> "StreamingEngine":
+                sinks: Sequence[EngineSink] = ()) -> "StreamingEngine":
         """Rebuild an engine from :meth:`checkpoint` output.
 
         The caller supplies the localizer (algorithm state is not
         serialized); it must be configured identically to the original
-        for the resumed run to match an uninterrupted one.  ``workers``
-        overrides the checkpointed pool width — safe, because worker
-        count never affects results, only throughput.
+        for the resumed run to match an uninterrupted one.  Unknown
+        config keys are ignored: files written while the engine still
+        had an in-process worker pool carry its width and timeout.
         """
         version = data.get("engine_checkpoint")
         if version not in (1, 2, CHECKPOINT_VERSION):
@@ -887,19 +820,13 @@ class StreamingEngine:
                     f"checkpoint CRC mismatch: stored {stored_crc}, "
                     f"computed {computed} — file is corrupt")
         config = data["config"]
-        if workers is None:
-            workers = int(config.get("workers", 1))
-        timeout_s = config.get("worker_timeout_s")
         engine = cls(localizer,
                      window_s=float(config["window_s"]),
                      batch_size=int(config["batch_size"]),
                      cache_size=int(config["cache_size"]),
                      sinks=sinks,
-                     workers=workers,
                      refit_every=int(config.get("refit_every", 0)),
-                     quarantine_after=int(config.get("quarantine_after", 3)),
-                     worker_timeout_s=(float(timeout_s)
-                                       if timeout_s is not None else None))
+                     quarantine_after=int(config.get("quarantine_after", 3)))
         engine.gamma_state = GammaState.from_dict(data["gamma"])
         engine.scheduler.restore(data.get("dirty", []))
         engine._last_located = {
@@ -959,7 +886,6 @@ class StreamingEngine:
     @classmethod
     def load_checkpoint(cls, path: PathLike, localizer: Localizer,
                         sinks: Sequence[EngineSink] = (),
-                        workers: Optional[int] = None,
                         fallback: bool = True) -> "StreamingEngine":
         """Restore from ``path``, falling back through rotations.
 
@@ -969,7 +895,7 @@ class StreamingEngine:
         generation that validates.
         """
         data = load_checkpoint_data(path, fallback=fallback)
-        return cls.restore(data, localizer, sinks=sinks, workers=workers)
+        return cls.restore(data, localizer, sinks=sinks)
 
 
 def _canonical_json(payload: dict) -> bytes:

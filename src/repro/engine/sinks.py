@@ -10,26 +10,16 @@ fix per device (:class:`LatestFixSink`).
 Construction is unified behind :func:`make_sink`: callers (the CLI, the
 simulation harness) name a sink by spec string — ``"tracker"``,
 ``"latest"``, ``"renderer:label_devices=false"`` — and supply any
-required live objects as keyword context.  The old style of handing a
-sink's constructor one positional config dict still works for one
-release but emits a :class:`DeprecationWarning`.
+required live objects as keyword context.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.localization.base import LocalizationEstimate
 from repro.net80211.mac import MacAddress
 from repro.sniffer.tracker import DeviceTracker
-
-
-def _warn_dict_config(cls_name: str) -> None:
-    warnings.warn(
-        f"passing a positional config dict to {cls_name} is deprecated; "
-        f"use keyword arguments or make_sink()",
-        DeprecationWarning, stacklevel=3)
 
 
 class EngineSink:
@@ -47,9 +37,6 @@ class TrackerSink(EngineSink):
     """Appends every estimate to a :class:`DeviceTracker` track."""
 
     def __init__(self, tracker: Optional[DeviceTracker] = None):
-        if isinstance(tracker, dict):
-            _warn_dict_config("TrackerSink")
-            tracker = tracker.get("tracker")
         self.tracker = tracker if tracker is not None else DeviceTracker()
 
     def emit(self, mobile: MacAddress, timestamp: float,
@@ -62,9 +49,6 @@ class CallbackSink(EngineSink):
 
     def __init__(self, callback: Callable[
             [MacAddress, float, LocalizationEstimate], None]):
-        if isinstance(callback, dict):
-            _warn_dict_config("CallbackSink")
-            callback = callback["callback"]
         self.callback = callback
 
     def emit(self, mobile: MacAddress, timestamp: float,
@@ -97,11 +81,6 @@ class RendererSink(EngineSink):
     """Plots every estimate on a :class:`repro.display.MapRenderer`."""
 
     def __init__(self, renderer, label_devices: bool = True):
-        if isinstance(renderer, dict):
-            _warn_dict_config("RendererSink")
-            config = renderer
-            renderer = config["renderer"]
-            label_devices = bool(config.get("label_devices", label_devices))
         self.renderer = renderer
         self.label_devices = label_devices
         self.emitted = 0

@@ -6,14 +6,12 @@ accumulates per-stage wall time with negligible overhead;
 :class:`EngineStats` is the immutable snapshot the engine hands out
 (and the CLI / throughput bench print).  Since the ``repro.obs``
 subsystem landed, the snapshot is a *view* computed from the engine's
-:class:`~repro.obs.MetricsRegistry`; :class:`PipelineStats` remains as
-a deprecated alias for one release.
+:class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
@@ -199,18 +197,3 @@ class EngineStats:
                      f"{self.estimates_per_sec:.0f} estimates/s")
         return "\n".join(lines)
 
-
-class PipelineStats(EngineStats):
-    """Deprecated alias of :class:`EngineStats` (one-release shim).
-
-    Instantiating it warns; everything else — fields, properties,
-    ``to_dict`` / ``format`` — is inherited unchanged, so existing
-    callers keep working while they migrate.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "PipelineStats is deprecated; use EngineStats "
-            "(repro.engine.EngineStats) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)

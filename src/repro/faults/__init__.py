@@ -1,6 +1,6 @@
 """``repro.faults`` — the fault-tolerance substrate.
 
-Four pieces (DESIGN.md §7):
+Three pieces (DESIGN.md §7):
 
 * **Typed errors** — the :class:`ReproError` hierarchy every supervised
   failure is classified under, so retry/degradation policies select by
@@ -11,8 +11,6 @@ Four pieces (DESIGN.md §7):
   ``sink.emit``, ``worker.chunk``, ...).
 * **Retry** — :class:`RetryPolicy`, exponential backoff with a
   deterministic seeded jitter stream and an injectable clock.
-* **Supervision** — :class:`WorkerSupervisor`, per-chunk timeouts and
-  bounded re-dispatch over the process-pool fan-out.
 
 Nothing here imports outside the standard library and :mod:`repro.obs`,
 so any layer — capture, LP, engine — can depend on it without cycles.
@@ -39,7 +37,6 @@ from repro.faults.injector import (
     use_injector,
 )
 from repro.faults.retry import RetryPolicy
-from repro.faults.supervisor import WorkerSupervisor
 
 __all__ = [
     "ReproError",
@@ -59,5 +56,4 @@ __all__ = [
     "DROPPED",
     "ERROR_TYPES",
     "RetryPolicy",
-    "WorkerSupervisor",
 ]

@@ -58,4 +58,4 @@ class CheckpointError(ReproError, ValueError):
 
 
 class WorkerError(ReproError, RuntimeError):
-    """A worker chunk was lost: timeout, pool breakage, or poison task."""
+    """A batch-localization call failed (the ``worker.chunk`` site)."""

@@ -23,7 +23,7 @@ Sites are plain dotted strings; the conventional ones are
 ``engine.checkpoint`` between the checkpoint temp-write and the rename
 ``lp.solve``       entry of :meth:`repro.lp.LpProblem.solve`
 ``sink.emit``      each (sink, estimate) delivery attempt
-``worker.chunk``   each worker-chunk dispatch (local or pooled)
+``worker.chunk``   each ``locate_batch`` call
 ``bus.publish``    each router → shard bus message (key = shard index)
 ``bus.collect``    each shard → router bus read (key = shard index)
 ``socket.send``    each encoded wire frame before the TCP write

@@ -115,12 +115,12 @@ class DiscIntersection:
     def __getstate__(self) -> dict:
         """Pickle without the derived caches.
 
-        Batch workers ship regions back over process boundaries; the
-        arc list is recomputable from the vertices on demand and the
-        precomputed-vertex input was already consumed by ``_build``, so
-        neither belongs in the payload.  The empty arc list (set when
-        the region degenerates) is kept — it records a decision, not a
-        cache.
+        Process-transport shards ship estimates (and their regions)
+        back in bus replies.  The arc list is recomputable from the
+        vertices on demand and the precomputed-vertex input was already
+        consumed by ``_build``, so neither belongs in the payload.  The
+        empty arc list (set when the region degenerates) is kept — it
+        records a decision, not a cache.
         """
         state = dict(self.__dict__)
         if state["_arcs_cache"]:

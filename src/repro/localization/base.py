@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import abc
-import pickle
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -178,72 +177,25 @@ class Localizer(abc.ABC):
     def locate_batch(self, observations: Iterable[Iterable[MacAddress]],
                      executor=None, supervisor=None
                      ) -> List[Optional[LocalizationEstimate]]:
-        """Localize a micro-batch of Γ sets in one shot.
+        """Localize a micro-batch of Γ sets in one shot, in order.
 
-        Results are returned in submission order regardless of how the
-        work is scheduled, so callers (the streaming engine's batch
-        flush) stay deterministic.
+        Each call is one ``worker.chunk`` fault site.  Subclasses that
+        can vectorize across a batch override :meth:`_locate_batch_local`
+        (M-Loc batches the disc-set geometry through the NumPy kernels).
 
-        Parameters
-        ----------
-        observations:
-            One Γ per device.
-        executor:
-            An optional ``concurrent.futures`` executor (typically a
-            ``ProcessPoolExecutor``) to fan the batch across.  The
-            batch is split into one contiguous chunk per worker — each
-            chunk ships a single pickled copy of the localizer — and
-            chunk results are concatenated in submission order.
-        supervisor:
-            An optional :class:`repro.faults.WorkerSupervisor`.  With
-            one, chunk futures are collected under its per-chunk
-            timeout and bounded re-dispatch policy (consulting its
-            ``current_executor`` after a pool replacement); without
-            one, a lost worker blocks forever — acceptable for batch
-            scripts, not for a streaming campaign.
-
-        Subclasses that can vectorize across a batch override
-        :meth:`_locate_batch_local` (M-Loc batches the disc-set
-        geometry through the NumPy kernels); the fan-out logic here is
-        shared.
+        ``executor`` and ``supervisor`` remain only so callers that
+        forward them by name (the repository benchmark's traced
+        localizer wrapper) keep working; they accept ``None`` alone and
+        can be dropped once no caller passes them.  Parallelism comes
+        from sharding devices across engines, not from this call.
         """
+        if executor is not None or supervisor is not None:
+            raise TypeError("locate_batch runs in-process; executor and "
+                            "supervisor must be None")
         gammas = [list(observed) for observed in observations]
-        if executor is None or len(gammas) <= 1:
-            faults.hook("worker.chunk")
-            results = self._locate_batch_local(gammas)
-            _count_batch(self.name, results)
-            return results
-        workers = max(1, int(getattr(executor, "_max_workers", 1)))
-        chunk = -(-len(gammas) // workers)  # ceil division
-        chunks = [gammas[s:s + chunk]
-                  for s in range(0, len(gammas), chunk)]
-        # One localizer pickle per call, not per chunk: submit() copies
-        # the bytes instead of re-walking the AP database N times, and
-        # worker processes memoize the decode across calls (the engine
-        # sends the same localizer every micro-batch).
-        payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-        def submit(chunk_gammas):
-            faults.hook("worker.chunk")
-            pool = executor
-            if supervisor is not None \
-                    and supervisor.current_executor is not None:
-                pool = supervisor.current_executor() or executor
-            return pool.submit(_locate_batch_chunk, payload, chunk_gammas)
-
-        if supervisor is not None:
-            outcomes = supervisor.run(submit, chunks)
-        else:
-            futures = [submit(chunk_gammas) for chunk_gammas in chunks]
-            outcomes = [future.result() for future in futures]
-        results: List[Optional[LocalizationEstimate]] = []
-        registry = obs.current_registry()
-        for chunk_results, worker_metrics in outcomes:
-            results.extend(chunk_results)
-            # Chunks run against worker-local registries; folding their
-            # snapshots back in *submission order* keeps the merged
-            # totals deterministic whatever the pool's scheduling was.
-            registry.merge(worker_metrics)
+        faults.hook("worker.chunk")
+        results = self._locate_batch_local(gammas)
+        _count_batch(self.name, results)
         return results
 
     def _locate_batch_local(self, gammas: List[List[MacAddress]]
@@ -264,34 +216,6 @@ def _count_batch(algorithm: str,
     if missed:
         registry.counter("repro.localization.unlocatable",
                          algorithm=algorithm).inc(missed)
-
-
-#: Single-entry per-process cache of the last decoded localizer.  Keyed
-#: by the exact payload bytes, so a changed localizer (re-fit, new
-#: knowledge base) can never be served stale.
-_chunk_localizer: List[Optional[tuple]] = [None]
-
-
-def _locate_batch_chunk(payload: bytes,
-                        gammas: List[List[MacAddress]]
-                        ) -> Tuple[List[Optional[LocalizationEstimate]],
-                                   dict]:
-    """Module-level trampoline so executor tasks pickle cleanly.
-
-    Returns ``(estimates, metrics_snapshot)``: the chunk runs against a
-    fresh worker-local registry whose snapshot the parent merges, so
-    instrumentation deep in the geometry/LP layers survives the process
-    boundary without any shared state.
-    """
-    cached = _chunk_localizer[0]
-    if cached is None or cached[0] != payload:
-        cached = (payload, pickle.loads(payload))
-        _chunk_localizer[0] = cached
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        results = cached[1]._locate_batch_local(gammas)
-        _count_batch(cached[1].name, results)
-    return results, registry.snapshot()
 
 
 def known_records(database, observed: Iterable[MacAddress]) -> List[ApRecord]:

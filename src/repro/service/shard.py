@@ -123,7 +123,6 @@ class ShardRuntime:
                 _, req_id, what, payload = message
                 outbox.put(("reply", req_id, self._answer(what, payload)))
             elif kind == "stop":
-                self.engine.close()
                 return
             elif kind == "crash":
                 return

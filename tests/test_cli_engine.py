@@ -207,6 +207,14 @@ class TestCleanFailures:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_engine_has_no_workers_flag(self, sim_capture, capsys):
+        _, capture_path, wigle_path = sim_capture
+        with pytest.raises(SystemExit) as exit_info:
+            main(["engine", str(capture_path),
+                  "--wigle", str(wigle_path), "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_replay_missing_capture(self, sim_capture, tmp_path, capsys):
         _, _, wigle_path = sim_capture
         code = main(["replay", str(tmp_path / "nope.jsonl"),

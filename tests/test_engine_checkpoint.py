@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import StreamingEngine
+from repro.engine import StreamingEngine, checkpoint_crc
 from repro.localization import MLoc
 from repro.net80211.frames import probe_request, probe_response
 from repro.net80211.mac import MacAddress
@@ -114,56 +114,45 @@ def test_restored_tracks_carry_positions_not_regions(square_db):
             assert point.estimate.algorithm == "m-loc"
 
 
-class TestWorkerPoolEquivalence:
-    """workers > 1 is a throughput knob, never a semantics knob."""
+class TestRemovedPoolConfig:
+    """The engine no longer has a worker pool; old files still resume."""
 
-    def test_parallel_run_matches_sequential(self, square_db):
-        frames = build_stream(square_db)
-        sequential = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                     batch_size=3)
-        sequential.run(iter(frames))
+    def test_new_checkpoints_omit_pool_settings(self, square_db):
+        config = StreamingEngine(MLoc(square_db)).checkpoint()["config"]
+        assert "workers" not in config
+        assert "worker_timeout_s" not in config
 
-        parallel = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                   batch_size=3, workers=4)
-        parallel.run(iter(frames))
+    def test_pool_keywords_are_gone(self, square_db):
+        with pytest.raises(TypeError):
+            StreamingEngine(MLoc(square_db), workers=2)
 
-        assert final_tracks(parallel) == final_tracks(sequential)
-        assert (parallel.stats().estimates_emitted
-                == sequential.stats().estimates_emitted)
-
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("cut", [5, 37, 73])
-    def test_roundtrip_with_workers_matches_uninterrupted(self, square_db,
-                                                          cut):
+    def test_checkpoint_with_pool_keys_matches_uninterrupted(
+            self, square_db, tmp_path, version, cut):
         frames = build_stream(square_db)
         uninterrupted = StreamingEngine(MLoc(square_db), window_s=30.0,
                                         batch_size=3)
         uninterrupted.run(iter(frames))
 
         first = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                batch_size=3, workers=4)
+                                batch_size=3)
         first.ingest_stream(frames[:cut])
-        blob = json.dumps(first.checkpoint())
-        first.close()
+        data = json.loads(json.dumps(first.checkpoint()))
+        # What a file written by a pool-era engine carries.
+        data["config"].update(workers=4, worker_timeout_s=2.0)
+        data["engine_checkpoint"] = version
+        if version == 1:
+            del data["metrics"]
+        if version == 3:
+            data["crc32"] = checkpoint_crc(data)
+        path = tmp_path / "pool-era.ckpt.json"
+        path.write_text(json.dumps(data))
 
-        resumed = StreamingEngine.restore(json.loads(blob), MLoc(square_db))
-        assert resumed.workers == 4  # worker count rides the checkpoint
+        resumed = StreamingEngine.load_checkpoint(path, MLoc(square_db))
         resumed.ingest_stream(frames[cut:])
         resumed.flush()
-        resumed.close()
 
         assert final_tracks(resumed) == final_tracks(uninterrupted)
         assert (resumed.stats().estimates_emitted
                 == uninterrupted.stats().estimates_emitted)
-
-    def test_restore_can_override_worker_count(self, square_db):
-        frames = build_stream(square_db, devices=3, rounds=1)
-        engine = StreamingEngine(MLoc(square_db), batch_size=2, workers=4)
-        engine.ingest_stream(frames)
-        engine.close()
-        restored = StreamingEngine.restore(engine.checkpoint(),
-                                           MLoc(square_db), workers=1)
-        assert restored.workers == 1
-
-    def test_rejects_bad_worker_count(self, square_db):
-        with pytest.raises(ValueError):
-            StreamingEngine(MLoc(square_db), workers=0)

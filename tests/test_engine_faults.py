@@ -1,7 +1,5 @@
 """Engine fault tolerance: retries, quarantine, degraded flushes, sinks."""
 
-from concurrent.futures import TimeoutError as FutureTimeoutError
-
 import pytest
 
 from repro.engine import StreamingEngine
@@ -11,7 +9,6 @@ from repro.faults import (
     FaultSpec,
     RetryPolicy,
     SinkError,
-    WorkerSupervisor,
     use_injector,
 )
 from repro.localization import MLoc, make_localizer
@@ -171,57 +168,3 @@ class TestRefitSupervision:
         # Never fitted, so nothing localizable — but the stream drained.
         assert stats.frames_ingested > 0
 
-
-class FakeTimeoutFuture:
-    def result(self, timeout=None):
-        raise FutureTimeoutError()
-
-    def cancel(self):
-        pass
-
-
-class ImmediateFuture:
-    def __init__(self, fn, *args):
-        self._fn = fn
-        self._args = args
-
-    def result(self, timeout=None):
-        return self._fn(*self._args)
-
-    def cancel(self):
-        pass
-
-
-class FlakyExecutor:
-    """First submission hangs (times out); the rest run inline."""
-
-    _max_workers = 2
-
-    def __init__(self):
-        self.submissions = 0
-
-    def submit(self, fn, *args):
-        self.submissions += 1
-        if self.submissions == 1:
-            return FakeTimeoutFuture()
-        return ImmediateFuture(fn, *args)
-
-
-class TestWorkerSupervision:
-    def test_chunk_timeout_redispatches_deterministically(self, square_db):
-        mloc = MLoc(square_db)
-        gammas = [[record.bssid for record in square_db],
-                  [record.bssid for record in list(square_db)[:2]],
-                  [record.bssid for record in list(square_db)[1:]]]
-        expected = mloc.locate_batch(gammas)
-        executor = FlakyExecutor()
-        redispatches = []
-        supervisor = WorkerSupervisor(
-            timeout_s=0.05,
-            on_failure=lambda index, error: redispatches.append(index))
-        results = mloc.locate_batch(gammas, executor=executor,
-                                    supervisor=supervisor)
-        assert redispatches == [0]
-        assert executor.submissions > 2
-        assert [(e.position.x, e.position.y) for e in results] == \
-            [(e.position.x, e.position.y) for e in expected]

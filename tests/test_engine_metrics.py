@@ -9,10 +9,8 @@ from repro.engine import (
     EngineStats,
     FanoutSink,
     LatestFixSink,
-    PipelineStats,
     StreamingEngine,
     TrackerSink,
-    CallbackSink,
     RendererSink,
     make_sink,
     sink_names,
@@ -193,27 +191,6 @@ class TestCheckpointCumulativeTotals:
             assert stats.stage_seconds[stage] == pytest.approx(seconds)
 
 
-class TestWorkerRegistryMerge:
-    def test_parallel_run_merges_worker_metrics_deterministically(
-            self, square_db):
-        frames = build_stream(square_db)
-        sequential = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                     batch_size=3)
-        sequential.run(iter(frames))
-        parallel = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                   batch_size=3, workers=2)
-        parallel.run(iter(frames))
-
-        seq = sequential.metrics_snapshot()["counters"]
-        par = parallel.metrics_snapshot()["counters"]
-        # Worker-local registries were folded back in submission order:
-        # the located totals match the sequential run exactly.
-        key = "repro.localization.located{algorithm=m-loc}"
-        assert par[key] == seq[key]
-        for name in CORE_COUNTERS:
-            assert par[name] == seq[name], name
-
-
 class TestSinkFactory:
     def test_names(self):
         assert set(sink_names()) == {"tracker", "callback", "latest",
@@ -256,36 +233,7 @@ class TestSinkFactory:
 
 
 class TestDeprecations:
-    def test_pipeline_stats_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="PipelineStats"):
-            stats = PipelineStats()
-        assert isinstance(stats, EngineStats)
-        assert "PipelineStats:" in stats.format()
-
     def test_engine_stats_does_not_warn(self, recwarn):
         EngineStats()
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-    def test_dict_config_sinks_warn_but_work(self):
-        tracker = DeviceTracker()
-        with pytest.warns(DeprecationWarning, match="TrackerSink"):
-            sink = TrackerSink({"tracker": tracker})
-        assert sink.tracker is tracker
-
-        def record(mobile, timestamp, estimate):
-            pass
-
-        with pytest.warns(DeprecationWarning, match="CallbackSink"):
-            sink = CallbackSink({"callback": record})
-        assert sink.callback is record
-
-        class FakeRenderer:
-            pass
-
-        renderer = FakeRenderer()
-        with pytest.warns(DeprecationWarning, match="RendererSink"):
-            sink = RendererSink({"renderer": renderer,
-                                 "label_devices": False})
-        assert sink.renderer is renderer
-        assert sink.label_devices is False

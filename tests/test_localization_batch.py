@@ -1,12 +1,9 @@
-"""locate_batch equals sequential locate — with and without workers.
+"""locate_batch equals sequential locate.
 
 The batch API is a pure throughput optimization: for any sequence of Γ
 sets it must produce exactly the estimates the sequential ``locate``
-loop produces, in the same order, whether the batch runs in-process or
-fanned across a ProcessPoolExecutor.
+loop produces, in the same order.
 """
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -74,14 +71,6 @@ class TestMLocBatch:
         batched = localizer.locate_batch(gammas)
         assert_estimates_match(batched, sequential)
 
-    def test_matches_with_four_workers(self, grid_db):
-        localizer = MLoc(grid_db)
-        gammas = mixed_gammas(grid_db)
-        sequential = [localizer.locate(g) for g in gammas]
-        with ProcessPoolExecutor(max_workers=4) as executor:
-            batched = localizer.locate_batch(gammas, executor=executor)
-        assert_estimates_match(batched, sequential)
-
     def test_matches_with_kernels_disabled(self, grid_db):
         localizer = MLoc(grid_db)
         gammas = mixed_gammas(grid_db, count=12, seed=5)
@@ -117,10 +106,10 @@ class TestBaseLocalizerBatch:
         sequential = [localizer.locate(g) for g in gammas]
         assert_estimates_match(localizer.locate_batch(gammas), sequential)
 
-    def test_centroid_with_workers(self, grid_db):
-        localizer = CentroidLocalizer(grid_db)
-        gammas = mixed_gammas(grid_db, count=20, seed=3)
-        sequential = [localizer.locate(g) for g in gammas]
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            batched = localizer.locate_batch(gammas, executor=executor)
-        assert_estimates_match(batched, sequential)
+    def test_rejects_an_executor(self, grid_db):
+        gammas = mixed_gammas(grid_db, count=4, seed=3)
+        with pytest.raises(TypeError):
+            CentroidLocalizer(grid_db).locate_batch(gammas,
+                                                    executor=object())
+        with pytest.raises(TypeError):
+            MLoc(grid_db).locate_batch(gammas, supervisor=object())
